@@ -1,7 +1,7 @@
-"""Batched-synthesis and vectorized-queue speedup benchmarks.
+"""Batched-synthesis speedup benchmarks.
 
-Two fast paths landed behind the bit-exact defaults; these benchmarks
-record the speedup each one delivers over the reference path it
+Stacked synthesis landed behind the bit-exact per-path default; these
+benchmarks record the speedup it delivers over the per-task loop it
 replaces, folding the ratios into ``BENCH_stream.json`` (merged by
 name with the throughput entries of ``test_stream.py``):
 
@@ -13,12 +13,9 @@ name with the throughput entries of ``test_stream.py``):
   short traces.  A companion entry at a streaming-scale block length
   records the honest large-``n`` ratio, where the per-row Gaussian
   draws and the FFT dominate both sides.
-- ``vectorized_queue_speedup_10m``: the reflection-identity kernel
-  versus the pure-python slot loop on the 10M-sample lossy operating
-  point of ``test_stream.py``'s bounded-memory acceptance run.
 
 Both measure best-of-N in one process so CPU frequency scaling hits
-both sides alike; the budgets are floors on the *ratio*, which is far
+both sides alike; the budget is a floor on the *ratio*, which is far
 more stable than either absolute rate.
 """
 
@@ -31,14 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.transform import marginal_transform
-from repro.distributions.hybrid import GammaParetoHybrid
 from repro.obs.bench import write_bench
 from repro.par.batch import batch_fgn_pool
-from repro.simulation.slotfluid import run_slots
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-TARGET = GammaParetoHybrid(27_791.0, 6_254.0, 12.0)
 
 _ENTRIES = []
 
@@ -117,48 +110,3 @@ class TestBatchedSynthesisSpeedup:
         })
         assert speedup > 1.2
 
-
-class TestVectorizedQueueSpeedup:
-    def test_ten_million_bounded_operating_point(self):
-        """The acceptance run's exact workload: transformed Paxson fGn
-        through the lossy (c = 1.1 mean, Q = 20 mean) queue."""
-        n = 10_000_000
-        from repro.core.paxson import PaxsonGenerator
-
-        raw = PaxsonGenerator(0.8).generate(n, rng=np.random.default_rng(4))
-        arrivals = marginal_transform(raw, TARGET, method="table")
-        capacity = 1.1 * 27_791.0
-        buffer_bytes = 20.0 * 27_791.0
-
-        reference = run_slots(arrivals, capacity, buffer_bytes,
-                              kernel="reference")
-        vectorized = run_slots(arrivals, capacity, buffer_bytes,
-                               kernel="vectorized")
-        np.testing.assert_allclose(vectorized, reference, rtol=1e-9,
-                                   atol=1e-6)
-        assert reference[1] > 0.0  # a live lossy operating point
-
-        ref_s = _best_of(
-            lambda: run_slots(arrivals, capacity, buffer_bytes,
-                              kernel="reference"), 3
-        )
-        vec_s = _best_of(
-            lambda: run_slots(arrivals, capacity, buffer_bytes,
-                              kernel="vectorized"), 3
-        )
-        speedup = ref_s / vec_s
-        _ENTRIES.append({
-            "name": "vectorized_queue_speedup_10m",
-            "value": round(speedup, 2),
-            "unit": "x",
-            "higher_is_better": True,
-            "budget": 2.0,
-            "context": {
-                "samples": n,
-                "reference_seconds": round(ref_s, 3),
-                "vectorized_seconds": round(vec_s, 3),
-                "capacity_per_slot": capacity,
-                "buffer_bytes": buffer_bytes,
-            },
-        })
-        assert speedup > 2.0

@@ -124,31 +124,49 @@ class TestBackendThroughput:
 
 
 class TestTenMillionBoundedMemory:
-    def test_ten_million_samples_constant_memory(self):
-        """ISSUE acceptance: >= 10M transformed samples while the traced
-        allocation peak stays orders of magnitude below the 80 MB the
-        materialized series would need."""
-        n, chunk = 10_000_000, 65_536
+    N = 10_000_000
+
+    def _drain(self):
+        """The acceptance pipeline: transformed Paxson fGn into the lossy
+        (c = 1.1 mean, Q = 20 mean) queue; returns (moments, queue, s)."""
+        chunk = 65_536
         src = BlockFGNSource(0.8, block_size=chunk, overlap=1024, backend="paxson")
         stream = (
-            Stream.from_source(src, n, chunk, rng=np.random.default_rng(4))
+            Stream.from_source(src, self.N, chunk, rng=np.random.default_rng(4))
             .transform(TARGET, method="table")
         )
         moments = OnlineMoments()
         queue = StreamingQueue(1.1 * 27_791.0, 20.0 * 27_791.0)
-        tracemalloc.start()
-        baseline, _ = tracemalloc.get_traced_memory()
         start = time.perf_counter()
         stream.drain(moments, queue)
-        elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        return moments, queue, time.perf_counter() - start
+
+    def test_ten_million_samples_constant_memory(self):
+        """Acceptance run: >= 10M transformed samples while the traced
+        allocation peak stays orders of magnitude below the 80 MB the
+        materialized series would need.
+
+        The rate comes from an untraced drain; ``tracemalloc`` slows the
+        pipeline by an order of magnitude, so the peak is measured in a
+        second, traced drain of the same seeded stream.
+        """
+        n = self.N
+        moments, queue, elapsed = self._drain()
         assert moments.count == n
         assert queue.slots_seen == n
-        peak_mb = (peak - baseline) / 1e6
-        assert peak_mb < 20.0  # full series would be 80 MB
         result = queue.result()
         assert 0.0 < result.loss_rate < 0.1  # a live lossy operating point
+
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            _, traced_queue, _ = self._drain()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced_queue.result() == result
+        peak_mb = (peak - baseline) / 1e6
+        assert peak_mb < 20.0  # full series would be 80 MB
         _ENTRIES.append({
             "name": "ten_million_bounded",
             "value": round(n / elapsed),

@@ -253,12 +253,11 @@ def _serve_chunk(item, common):
     capacity = common["capacity"]
     buffer = common["buffer"]
     backlog = common["backlog"]
-    kernel = common.get("kernel")
     out = np.empty((stop - start, 4))
     for j, i in enumerate(range(start, stop)):
         out[j] = run_slots(
             arrivals[i], float(capacity[i]), float(buffer[i]),
-            state=(float(backlog[i]), 0.0, 0.0, 0.0), kernel=kernel,
+            state=(float(backlog[i]), 0.0, 0.0, 0.0),
         )
     return out
 
@@ -349,7 +348,7 @@ class FleetResult:
         }
 
 
-def simulate_fleet(spec, allocator="static", *, workers=1, kernel=None,
+def simulate_fleet(spec, allocator="static", *, workers=1,
                    record_history=False, allocator_options=None):
     """Run one fleet under one allocator; returns a :class:`FleetResult`.
 
@@ -400,7 +399,6 @@ def simulate_fleet(spec, allocator="static", *, workers=1, kernel=None,
                     "capacity": alloc.capacity,
                     "buffer": alloc.buffer,
                     "backlog": backlog,
-                    "kernel": kernel,
                 }
                 results = pool_map(_serve_chunk, chunks, workers=workers,
                                    common=common, label="alloc.epoch")

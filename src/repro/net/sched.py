@@ -136,17 +136,15 @@ class FIFODiscipline(Discipline):
     def backlog(self):
         return self._backlog
 
-    def step_many(self, values, kernel=None):
+    def step_many(self, values):
         """Advance many slots at once for a single-flow port.
 
         ``values`` is the per-slot arrival array for the port's one
         registered flow; the port's backlog is advanced through
-        :func:`repro.simulation.slotfluid.run_slots` under the chosen
-        ``kernel`` (``"reference"`` reproduces a ``step()`` loop bit for
-        bit; ``"vectorized"`` is the statistically-equivalent fast
-        path).  Per-slot served volumes are not materialized -- this is
-        the bulk path for hops whose downstream effects are not being
-        traced slot by slot.  Returns a dict with the aggregate
+        :func:`repro.simulation.slotfluid.run_slots`, which reproduces
+        a ``step()`` loop bit for bit.  Per-slot served volumes are not
+        materialized -- this is the bulk path for hops whose downstream
+        effects are not being traced slot by slot.  Returns a dict with the aggregate
         ``backlog``, ``lost``, ``peak`` and ``offered`` totals over the
         advanced slots.
         """
@@ -158,7 +156,7 @@ class FIFODiscipline(Discipline):
             )
         backlog, lost, peak, offered = run_slots(
             values, self.capacity_per_slot, self.buffer_bytes,
-            state=(self._backlog, 0.0, self._backlog, 0.0), kernel=kernel,
+            state=(self._backlog, 0.0, self._backlog, 0.0),
         )
         self._backlog = backlog
         (cls,) = classes.values()

@@ -5,8 +5,11 @@ The queue is simulated at the granularity of the trace's time slots
 deposits ``a_t`` bytes, the server drains ``c`` bytes, and whatever
 exceeds the buffer ``Q`` is lost:
 
-    ``lost_t = max(0, b_{t-1} + a_t - c - Q)``
-    ``b_t    = min(max(b_{t-1} + a_t - c, 0), Q)``
+    ``lost_t = max(0, b_{t-1} + (a_t - c) - Q)``
+    ``b_t    = min(max(b_{t-1} + (a_t - c), 0), Q)``
+
+(evaluated as ``b + (a - c)``, the order fixed by
+:mod:`repro.simulation.slotfluid`).
 
 The paper verifies (in the long version) that uniform versus random
 cell spacing inside a slot barely affects the results, so the fluid
@@ -78,8 +81,7 @@ class QueueResult:
         return self.lost_bytes / self.total_bytes
 
 
-def simulate_queue(arrivals, capacity_per_slot, buffer_bytes, return_series=False,
-                   kernel=None):
+def simulate_queue(arrivals, capacity_per_slot, buffer_bytes, return_series=False):
     """Run the finite-buffer FIFO queue over one arrival series.
 
     Parameters
@@ -93,14 +95,6 @@ def simulate_queue(arrivals, capacity_per_slot, buffer_bytes, return_series=Fals
     return_series:
         Also record per-slot lost bytes (needed for the worst-errored-
         second and windowed-loss metrics).
-    kernel:
-        ``"reference"`` (the pure-python fold; the default, bit-exact
-        against the published goldens), ``"vectorized"`` (the numpy
-        reflection-identity kernel of
-        :func:`repro.simulation.slotfluid.slot_run_vectorized`;
-        statistically equivalent, ~5x+ faster on long runs), or
-        ``None`` for the process default
-        (:func:`repro.simulation.slotfluid.default_kernel`).
 
     Returns a :class:`QueueResult`.
     """
@@ -114,9 +108,7 @@ def simulate_queue(arrivals, capacity_per_slot, buffer_bytes, return_series=Fals
     # bit-for-bit with the streaming fold (repro.stream.queueing) and
     # the per-hop disciplines of repro.net.
     with trace.span("queue.simulate", n=a.size, capacity=c, buffer=q):
-        backlog, lost, peak, total = run_slots(
-            a, c, q, loss_series=loss_series, kernel=kernel
-        )
+        backlog, lost, peak, total = run_slots(a, c, q, loss_series=loss_series)
     _SLOTS.inc(a.size)
     _LOST.inc(lost)
     return QueueResult(

@@ -21,34 +21,13 @@ forwarding); :func:`fold_slots` is the tight batch loop over a list of
 arrivals used by the batch and streaming simulators.  A property test
 pins ``fold_slots`` to repeated ``slot_step`` applications.
 
-:func:`slot_run_vectorized` is the numpy fast path, built on the
-one-sided Skorokhod (Lindley) reflection identities.  Between barrier
-*alternations* the finite-buffer trajectory coincides with a one-sided
-reflection, and each one-sided map has a closed prefix form:
-
-    drain barrier only:     ``W_t = S_t - min(0, min_{u<=t} S_u)``
-    overflow barrier only:  ``W_t = S_t - max(0, max_{u<=t} (S_u - Q))``
-
-where ``S`` is the seeded prefix sum of ``a_t - c``.  The kernel runs
-``np.add.accumulate`` + ``np.minimum/maximum.accumulate`` over windows,
-switching identities only when the trajectory crosses the *other*
-barrier -- so a long drain-heavy stretch or a clustered burst of
-overflow slots each costs a handful of vector passes, and the work
-scales with barrier alternations, not with clamp events.  Where no
-clamp fires the identity *is* the reference's own seeded prefix sum,
-bit for bit; where clamps fire, the algebraically identical correction
-term rounds differently at the last ulp, so the kernel is
-statistically equivalent (pinned by the tier-2 fuzz wall in
-``tests/test_qa_batch_fuzz.py``) rather than bit-identical.  For that
-reason :func:`run_slots` keeps the pure-python reference as the
-default kernel -- golden digests never move unless a caller opts in
-via ``kernel="vectorized"``, :func:`set_default_kernel`, or
-``REPRO_SLOT_KERNEL=vectorized``.
+:func:`run_slots` is the one entry point for array-shaped callers: it
+converts an ndarray with ``tolist()`` and runs :func:`fold_slots`.  It
+is the only fold; a faster implementation may replace its body, but
+only if it is bit-identical to the loop.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -57,11 +36,8 @@ __all__ = [
     "clamp_backlog",
     "slot_step",
     "fold_slots",
-    "slot_run_vectorized",
     "run_slots",
     "default_kernel",
-    "set_default_kernel",
-    "SLOT_KERNELS",
 ]
 
 
@@ -145,236 +121,24 @@ def fold_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
     return backlog, lost, peak, total
 
 
-def slot_run_vectorized(values, capacity, buffer_bytes,
-                        state=(0.0, 0.0, 0.0, 0.0), loss_series=None,
-                        block_size=8_192):
-    """Vectorized fold via the one-sided reflection identities.
-
-    ``values`` is a 1-D float array (any array-like); the other
-    arguments match :func:`fold_slots`.  Per window the kernel computes
-    the raw prefix sum ``P`` of ``a_t - c`` once, then resolves the
-    trajectory segment by segment: from state ``(r, b)`` the one-sided
-    maps become pure functions of ``P`` --
-
-        drain barrier:     ``W_u = P_u - min(P_r - b, min_{r<w<=u} P_w)``
-        overflow barrier:  ``W_u = P_u - max(P_r - b + Q, max_{r<w<=u} P_w) + Q``
-
-    -- so a barrier alternation costs one extremum scan and one
-    subtraction over its own slice instead of a fresh prefix sum.  A
-    segment absorbs an arbitrary run of its own clamps (a drain-heavy
-    stretch, a clustered burst of overflow slots) in those two passes;
-    cost scales with barrier *alternations*, which even heavily-loaded
-    LRD workloads produce orders of magnitude less often than clamp
-    events.  Where no clamp fires the identity reduces to the seeded
-    prefix sum itself; where clamps fire, the algebraically identical
-    correction rounds differently at the last ulp, so backlog, lost and
-    peak are statistically equivalent to the reference (~1e-13
-    relative, pinned by the tier-2 fuzz wall) rather than bit-identical,
-    and the offered total is numpy's pairwise reduction (at least as
-    accurate as the loop's sequential sum).  Alternation-dense
-    stretches are delegated to :func:`fold_slots` itself.
-    """
-    a = np.asarray(values, dtype=float)
-    backlog, lost, peak, total = state
-    n = a.size
-    if n == 0:
-        return backlog, lost, peak, total
-    c = float(capacity)
-    q = float(buffer_bytes)
-    max_window = max(int(block_size), 1024)
-    min_scan = 256
-    P = np.empty(max_window + 1)   # raw prefix sum of a_t - c
-    M = np.empty(max_window + 1)   # running-extremum scan
-    WB = np.empty(max_window + 1)  # reflected trajectory
-    PRE = np.empty(max_window)     # per-slot spill recovery scratch
-    pos = None  # slots with positive net input, for the idle skip (lazy)
-    t = 0
-    scan = max_window  # adaptive segment-scan length
-    upper = False  # which one-sided identity currently applies
-    dense = 0
-    while t < n:
-        if backlog == 0.0 and not upper:
-            # Empty queue: slots with a_t <= c change no statistic
-            # (backlog stays 0, nothing lost, peak unmoved) beyond the
-            # offered total; jump to the next net-positive slot.
-            if pos is None:
-                pos = np.flatnonzero(a > c)
-            i = int(np.searchsorted(pos, t))
-            nxt = n if i == pos.size else int(pos[i])
-            if nxt > t:
-                total += float(np.add.reduce(a[t:nxt]))
-                t = nxt
-            if t == n:
-                break
-        end = min(t + max_window, n)
-        k = end - t
-        P[0] = 0.0
-        np.subtract(a[t:end], c, out=P[1:1 + k])
-        np.add.accumulate(P[:1 + k], out=P[:1 + k])
-        # The window's offered volume falls out of the prefix for free.
-        total += float(P[k]) + k * c
-        r = 0  # P-index of the current segment's seed state
-        while r < k:
-            # Cap each extremum scan near the observed alternation
-            # spacing: a crossing near the segment start then wastes
-            # only a short suffix, while clean stretches grow the cap
-            # back toward the full window.
-            s_end = min(k, r + scan)
-            save = P[r]
-            if not upper:
-                # Seeding the cummin scan with P_r - b folds the
-                # segment's offset into the correction term.
-                P[r] = save - backlog
-                np.minimum.accumulate(P[r:1 + s_end], out=M[r:1 + s_end])
-                P[r] = save
-                W = np.subtract(P[r + 1:1 + s_end], M[r + 1:1 + s_end],
-                                out=WB[r + 1:1 + s_end])
-                m = float(W.max())
-                if m <= q:
-                    if m > peak:
-                        peak = m
-                    backlog = float(W[-1])
-                    r = s_end
-                    scan = min(scan * 4, max_window)
-                    dense = 0
-                    continue
-                # First overflow: the prefix before it is the true
-                # finite-buffer trajectory; clamp there, switch maps.
-                j = int(np.argmax(W > q))
-                if j > 0:
-                    m = float(W[:j].max())
-                    if m > peak:
-                        peak = m
-                overflow = float(W[j]) - q
-                lost += overflow
-                if loss_series is not None:
-                    loss_series[t + r + j] = overflow
-                backlog = q
-                if q > peak:
-                    peak = q
-                upper = True
-            else:
-                # Seeding the cummax scan with P_r - b + Q makes the
-                # scan itself the (shifted) correction: Ws = W - Q.
-                P[r] = save - backlog + q
-                np.maximum.accumulate(P[r:1 + s_end], out=M[r:1 + s_end])
-                P[r] = save
-                Ws = np.subtract(P[r + 1:1 + s_end], M[r + 1:1 + s_end],
-                                 out=WB[r + 1:1 + s_end])
-                m = float(Ws.min())
-                span = s_end - r
-                stop = span if m >= -q else int(np.argmax(Ws < -q))
-                if stop > 0:
-                    # Per-slot losses over the accepted prefix: the
-                    # spill above Q is pre_u - Q = Ws_{u-1} + d_u.
-                    pre = np.subtract(a[t + r:t + r + stop], c,
-                                      out=PRE[:stop])
-                    pre[0] += backlog - q
-                    if stop > 1:
-                        pre[1:] += Ws[:stop - 1]
-                    if loss_series is None:
-                        np.maximum(pre, 0.0, out=pre)
-                        lost += float(np.add.reduce(pre))
-                    else:
-                        hit = np.flatnonzero(pre > 0.0)
-                        if hit.size:
-                            lost += float(np.add.reduce(pre[hit]))
-                            loss_series[t + r + hit] = pre[hit]
-                    m = float(Ws[:stop].max()) + q
-                    if m > peak:
-                        peak = m
-                if stop == span:
-                    backlog = float(Ws[-1]) + q
-                    r = s_end
-                    scan = min(scan * 4, max_window)
-                    dense = 0
-                    continue
-                # The trajectory drained: clamp to empty, switch maps.
-                backlog = 0.0
-                upper = False
-                stop += 1
-                j = stop - 1
-            r += j + 1
-            if 2 * (j + 1) < scan:
-                scan = max(min_scan, 2 * (j + 1))
-            if scan > min_scan:
-                dense = 0
-                continue
-            dense += 1
-            if dense >= 8 and r < k:
-                # Barrier alternations nearly every slot: tiny segment
-                # scans lose to the plain loop, and the loop *is* the
-                # reference -- run it for a stretch (minus its own
-                # total, already counted by the window prefix above).
-                stretch = min(r + 4_096, k)
-                sub_loss = None
-                if loss_series is not None:
-                    sub_loss = loss_series[t + r:t + stretch]
-                backlog, lost, peak, _ = fold_slots(
-                    a[t + r:t + stretch].tolist(), c, q,
-                    state=(backlog, lost, peak, 0.0), loss_series=sub_loss,
-                )
-                r = stretch
-                dense = 0
-                upper = False
-                scan = min(min_scan * 4, max_window)
-        t = end
-    return backlog, lost, peak, total
-
-
-SLOT_KERNELS = ("reference", "vectorized")
-"""Selectable fold kernels: the exact pure-python loop and the
-statistically-equivalent Lindley-identity fast path."""
-
-_DEFAULT_KERNEL = os.environ.get("REPRO_SLOT_KERNEL", "reference")
-
-
 def default_kernel():
-    """The kernel :func:`run_slots` uses when none is requested."""
-    return _DEFAULT_KERNEL
-
-
-def set_default_kernel(name):
-    """Select the process-wide default fold kernel; returns the previous one.
-
-    ``"reference"`` (the pure-python loop, the bit-exact default) or
-    ``"vectorized"`` (the Lindley-identity numpy fast path, exact on
-    clamp-free stretches and equivalent to float-associativity rounding
-    elsewhere).  The environment variable ``REPRO_SLOT_KERNEL`` sets
-    the initial default.  Golden digests are computed under the
-    reference kernel; switch when throughput matters more than the
-    last ulp of the loss counters.
-    """
-    global _DEFAULT_KERNEL
-    if name not in SLOT_KERNELS:
-        raise ValueError(f"kernel must be one of {SLOT_KERNELS}, got {name!r}")
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = name
-    return previous
+    """Name of the fold :func:`run_slots` runs: always ``"reference"``."""
+    return "reference"
 
 
 def run_slots(values, capacity, buffer_bytes, state=(0.0, 0.0, 0.0, 0.0),
-              loss_series=None, kernel=None):
-    """Fold ``values`` with the selected kernel.
+              loss_series=None):
+    """Fold an arrival array through :func:`fold_slots`.
 
-    The dispatcher every array-shaped caller goes through
+    The one entry point every array-shaped caller goes through
     (:func:`repro.simulation.queue.simulate_queue`, the streaming fold,
-    the FIFO discipline's batched path).  ``kernel`` overrides the
-    process default (:func:`set_default_kernel`).  The offered total is
-    bit-identical under either kernel; backlog/lost/peak are
-    bit-identical under ``"reference"`` and statistically equivalent
-    (tier-2 pinned) under ``"vectorized"``.
+    the FIFO discipline's batched path, the alloc fleet).  ``values``
+    may be an ndarray or a list; an ndarray is converted with
+    ``tolist()`` first.  Arguments and return value match
+    :func:`fold_slots`.
     """
-    if kernel is None:
-        kernel = _DEFAULT_KERNEL
-    if kernel == "vectorized":
-        return slot_run_vectorized(
-            values, capacity, buffer_bytes, state=state, loss_series=loss_series
-        )
-    if kernel == "reference":
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        return fold_slots(
-            values, capacity, buffer_bytes, state=state, loss_series=loss_series
-        )
-    raise ValueError(f"kernel must be one of {SLOT_KERNELS}, got {kernel!r}")
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return fold_slots(
+        values, capacity, buffer_bytes, state=state, loss_series=loss_series
+    )

@@ -61,12 +61,6 @@ class StreamingQueue:
         Also keep per-slot lost bytes.  This grows with the stream
         (O(n) memory) -- only enable it for bounded runs that need the
         loss series for windowed metrics.
-    kernel:
-        ``"reference"`` (the pure-python fold; bit-for-bit equal to the
-        batch simulator for any chunk partition), ``"vectorized"`` (the
-        numpy reflection-identity kernel; statistically equivalent,
-        much faster on large chunks), or ``None`` for the process
-        default (:func:`repro.simulation.slotfluid.default_kernel`).
 
     Feed chunks with :meth:`push` (or via ``Stream.observe`` /
     ``Stream.drain``) and read the folded statistics with
@@ -75,12 +69,10 @@ class StreamingQueue:
     concatenation of every pushed chunk.
     """
 
-    def __init__(self, capacity_per_slot, buffer_bytes, record_loss=False,
-                 kernel=None):
+    def __init__(self, capacity_per_slot, buffer_bytes, record_loss=False):
         self.capacity_per_slot = require_positive(capacity_per_slot, "capacity_per_slot")
         self.buffer_bytes = require_nonnegative(buffer_bytes, "buffer_bytes")
         self.record_loss = bool(record_loss)
-        self.kernel = kernel
         self._loss_chunks = [] if record_loss else None
         self._backlog = 0.0
         self._lost = 0.0
@@ -114,7 +106,6 @@ class StreamingQueue:
             self.buffer_bytes,
             state=(self._backlog, self._lost, self._peak, self._total),
             loss_series=loss_series,
-            kernel=self.kernel,
         )
         if self.record_loss:
             self._loss_chunks.append(loss_series)
@@ -156,11 +147,9 @@ class StreamingQueue:
         )
 
 
-def simulate_queue_stream(chunks, capacity_per_slot, buffer_bytes, record_loss=False,
-                          kernel=None):
+def simulate_queue_stream(chunks, capacity_per_slot, buffer_bytes, record_loss=False):
     """Run the streaming queue over an iterable of chunks; returns the result."""
-    queue = StreamingQueue(capacity_per_slot, buffer_bytes, record_loss=record_loss,
-                           kernel=kernel)
+    queue = StreamingQueue(capacity_per_slot, buffer_bytes, record_loss=record_loss)
     for chunk in chunks:
         queue.push(chunk)
     return queue.result()

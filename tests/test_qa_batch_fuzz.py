@@ -1,33 +1,22 @@
-"""Tier-2 seeded fuzz for the batched-synthesis and vectorized-queue paths.
+"""Tier-2 seeded fuzz for the batched-synthesis path.
 
-Two fast paths ship behind the bit-exact defaults: the stacked 2-D FFT
-synthesis (:func:`repro.core.batch.batch_fgn`) and the
-reflection-identity queue kernel
-(:func:`repro.simulation.slotfluid.slot_run_vectorized`).  Tier-1 pins
-them bit-for-bit where exactness is guaranteed; this module attacks
-the *rest* of the input space with randomized configurations drawn
-from the rotating ``--qa-seed``:
-
-- random ``(H, n, batch, capacity, buffer)`` queue workloads where the
-  vectorized kernel must match the reference loop within tight
-  float-reassociation budgets (the aggregate counters are sums of ~n
-  clamped terms, so the admissible drift is a few hundred ulps, not a
-  statistical tolerance);
-- cross-backend equivalence of *batched* output, mirroring
-  ``tests/test_qa_backends.py``: ACF, periodogram slope, and
-  variance-time Hurst agreement between stacked Paxson and stacked
-  Davies-Harte rows, drawing from the suite-wide alpha budget.
+The stacked 2-D FFT synthesis (:func:`repro.core.batch.batch_fgn`)
+ships behind the bit-exact per-path default.  Tier-1 pins it
+bit-for-bit where exactness is guaranteed; this module checks the
+*statistics* of batched output with draws from the rotating
+``--qa-seed``: cross-backend equivalence mirroring
+``tests/test_qa_backends.py`` -- ACF, periodogram slope, and
+variance-time Hurst agreement between stacked Paxson and stacked
+Davies-Harte rows, drawing from the suite-wide alpha budget.
 
 Every draw flows from ``seeded_rng``, so these must pass for any seed.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.hurst import variance_time
 from repro.core.batch import batch_fgn
 from repro.qa import stats as qa
-from repro.simulation.slotfluid import fold_slots, slot_run_vectorized
 from tests.qa_budget import CHECK_ALPHA
 
 HURSTS = (0.6, 0.8, 0.9)
@@ -35,52 +24,6 @@ N_SAMPLES = 4096
 N_PATHS = 6
 
 pytestmark = [pytest.mark.tier2, pytest.mark.statistical_retry]
-
-
-def _random_workload(rng):
-    """One random queue configuration: LRD arrivals plus (c, Q)."""
-    hurst = float(rng.uniform(0.55, 0.95))
-    n = int(rng.integers(5_000, 60_000))
-    batch = int(rng.integers(1, 9))
-    # Positive arrivals with the drawn H: exponentiate the Gaussian so
-    # heavy slots stress the overflow barrier, then scale to bytes.
-    row = batch_fgn(n, hurst, batch, seed=int(rng.integers(2**31)))[batch - 1]
-    arrivals = 10_000.0 * np.exp(0.5 * row)
-    mean = float(arrivals.mean())
-    capacity = mean * float(rng.uniform(0.9, 1.6))
-    buffer_bytes = mean * float(rng.uniform(0.0, 30.0))
-    return arrivals, capacity, buffer_bytes
-
-
-class TestVectorizedKernelFuzz:
-    N_WORKLOADS = 8
-
-    def test_random_workloads_agree_with_reference(self, seeded_rng):
-        for _ in range(self.N_WORKLOADS):
-            a, c, q = _random_workload(seeded_rng)
-            ref_losses = np.zeros(a.size)
-            ref = fold_slots(a.tolist(), c, q, loss_series=ref_losses)
-            vec_losses = np.zeros(a.size)
-            vec = slot_run_vectorized(a, c, q, loss_series=vec_losses)
-            scale = max(ref[3], 1.0)  # offered total sets the ulp scale
-            for got, want in zip(vec, ref):
-                np.testing.assert_allclose(
-                    got, want, rtol=1e-9, atol=1e-6 * scale,
-                    err_msg=f"(c={c:.1f}, q={q:.1f}, n={a.size})",
-                )
-            # Same overflow slots, same per-slot magnitudes.
-            np.testing.assert_allclose(
-                vec_losses, ref_losses, rtol=1e-9, atol=1e-6 * scale / a.size,
-            )
-
-    def test_random_chunk_boundaries_resume_exactly(self, seeded_rng):
-        a, c, q = _random_workload(seeded_rng)
-        whole = slot_run_vectorized(a, c, q)
-        cuts = np.sort(seeded_rng.integers(1, a.size, size=4))
-        state = (0.0, 0.0, 0.0, 0.0)
-        for start, end in zip(np.r_[0, cuts], np.r_[cuts, a.size]):
-            state = slot_run_vectorized(a[start:end], c, q, state=state)
-        np.testing.assert_allclose(state, whole, rtol=1e-9)
 
 
 def _batched_paths(backend, hurst, rng, n=N_SAMPLES, n_paths=N_PATHS):
