@@ -6,13 +6,14 @@ replaces, folding the ratios into ``BENCH_stream.json`` (merged by
 name with the throughput entries of ``test_stream.py``):
 
 - ``batched_synthesis_speedup_b64``: 64 independent fGn traces through
-  one stacked 2-D FFT (``batch_fgn_pool`` with batch-per-worker)
-  versus the per-task loop the pool ran before (fresh generator,
-  fresh spectral profile, one FFT per trace).  The win is
-  dispatch-bound, so it is measured where batching is aimed: many
-  short traces.  A companion entry at a streaming-scale block length
-  records the honest large-``n`` ratio, where the per-row Gaussian
-  draws and the FFT dominate both sides.
+  ``batch_fgn_pool``, which stacks them by the row-length rule (one
+  stack of 64 at n=128), versus the per-trace loop of 64 one-row
+  ``batch_fgn`` calls under the same row seeds (fresh generator, fresh
+  spectral profile, one FFT per trace).  The win is dispatch-bound, so
+  it is measured where stacking is aimed: many short traces.  A
+  companion entry at a streaming-scale block length (stacks of 16 at
+  n=4,096) records the honest large-``n`` ratio, where the per-row
+  Gaussian draws and the FFT dominate both sides.
 
 Both measure best-of-N in one process so CPU frequency scaling hits
 both sides alike; the budget is a floor on the *ratio*, which is far
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.batch import batch_fgn, batch_row_seeds, stack_height
 from repro.obs.bench import write_bench
 from repro.par.batch import batch_fgn_pool
 
@@ -61,16 +63,18 @@ class TestBatchedSynthesisSpeedup:
     B = 64
 
     def _speedup(self, n, rounds=5):
-        reference = batch_fgn_pool(n, 0.8, self.B, seed=0, batch=1)
-        batched = batch_fgn_pool(n, 0.8, self.B, seed=0, batch=self.B)
-        np.testing.assert_array_equal(batched, reference)  # never a trade
-        loop_s = _best_of(
-            lambda: batch_fgn_pool(n, 0.8, self.B, seed=0, batch=1), rounds
-        )
-        batch_s = _best_of(
-            lambda: batch_fgn_pool(n, 0.8, self.B, seed=0, batch=self.B), rounds
-        )
-        return loop_s, batch_s
+        seeds = batch_row_seeds(0, self.B)
+
+        def loop():
+            return np.concatenate([
+                batch_fgn(n, 0.8, 1, seeds=[s]) for s in seeds
+            ])
+
+        def stacked():
+            return batch_fgn_pool(n, 0.8, self.B, seed=0)
+
+        np.testing.assert_array_equal(stacked(), loop())  # never a trade
+        return _best_of(loop, rounds), _best_of(stacked, rounds)
 
     def test_dispatch_bound_blocks(self):
         """B=64 short traces: the regime stacking exists for."""
@@ -85,6 +89,7 @@ class TestBatchedSynthesisSpeedup:
             "budget": 5.0,
             "context": {
                 "batch": self.B, "n": n, "backend": "paxson",
+                "stack_height": stack_height(n, self.B),
                 "loop_seconds": round(loop_s, 4),
                 "batched_seconds": round(batch_s, 4),
             },
@@ -104,6 +109,7 @@ class TestBatchedSynthesisSpeedup:
             "higher_is_better": True,
             "context": {
                 "batch": self.B, "n": n, "backend": "paxson",
+                "stack_height": stack_height(n, self.B),
                 "loop_seconds": round(loop_s, 4),
                 "batched_seconds": round(batch_s, 4),
             },

@@ -25,6 +25,12 @@ Two seeding modes cover the two callers:
   ``generate(n, rng=rng)`` calls would -- the mode the streaming block
   source uses to pre-synthesize blocks ahead without changing a bit of
   its output.
+
+How many rows ride one stacked call is not a setting: every caller
+takes :func:`stack_height` of its row length, so one call covers about
+:data:`STACK_SAMPLES` samples.  Short rows stack (that is where the
+dispatch overhead lives); rows of ``STACK_SAMPLES`` or more run alone
+through the single-trace generator.
 """
 
 from __future__ import annotations
@@ -36,9 +42,19 @@ import numpy as np
 from repro._validation import require_positive_int
 from repro.obs import metrics, trace
 
-__all__ = ["BATCH_BACKENDS", "batch_fgn", "batch_generate", "batch_row_seeds"]
+__all__ = [
+    "BATCH_BACKENDS",
+    "STACK_SAMPLES",
+    "batch_fgn",
+    "batch_generate",
+    "batch_row_seeds",
+    "stack_height",
+]
 
 BATCH_BACKENDS = ("paxson", "davies-harte")
+
+STACK_SAMPLES = 65_536
+"""Samples per stacked synthesis call; the row length sets the height."""
 
 _ROWS = metrics.registry().counter(
     "repro_batch_fgn_rows_total",
@@ -60,6 +76,17 @@ def _require_batch(batch, n):
             f"(requested shape ({int(batch)}, {n}))"
         )
     return int(batch)
+
+
+def stack_height(row_len, rows, workers=1):
+    """Rows per stacked call for ``rows`` rows of ``row_len`` samples.
+
+    ``max(1, STACK_SAMPLES // row_len)``, capped at
+    ``ceil(rows / workers)`` so a pool fan-out keeps every worker busy
+    and a stack never holds more rows than are wanted.
+    """
+    height = max(1, STACK_SAMPLES // row_len)
+    return min(height, -(-rows // workers))
 
 
 def batch_row_seeds(seed, batch):
@@ -155,9 +182,9 @@ def batch_generate(generator, n, rngs):
     from repro.core.paxson import PaxsonGenerator
 
     if isinstance(generator, DaviesHarteGenerator):
-        kernel = _batch_davies_harte
+        kernel, label = _batch_davies_harte, "daviesharte"
     elif isinstance(generator, PaxsonGenerator):
-        kernel = _batch_paxson
+        kernel, label = _batch_paxson, "paxson"
     else:
         raise TypeError(
             f"generator must be a PaxsonGenerator or DaviesHarteGenerator, "
@@ -171,6 +198,11 @@ def batch_generate(generator, n, rngs):
                     n=n, batch=len(rngs)):
         x = kernel(generator, n, rngs)
     _ROWS.inc(len(rngs))
+    # The single-trace generate() counts its samples under this family;
+    # stacked rows are the same samples.
+    metrics.registry().counter(
+        "repro_generator_samples_total", labels={"generator": label}
+    ).inc(n * len(rngs))
     return x
 
 
@@ -212,18 +244,12 @@ def batch_fgn(n, hurst, batch, *, backend="paxson", variance=1.0, seed=0,
         from repro.core.paxson import PaxsonGenerator
 
         generator = PaxsonGenerator(hurst, variance=variance)
-        kernel = _batch_paxson
     elif backend == "davies-harte":
         from repro.core.daviesharte import DaviesHarteGenerator
 
         generator = DaviesHarteGenerator(hurst, variance=variance)
-        kernel = _batch_davies_harte
     else:
         raise ValueError(
             f"backend must be one of {BATCH_BACKENDS}, got {backend!r}"
         )
-    rngs = _row_rngs(batch, seed, seeds, rng)
-    with trace.span("batch.fgn", backend=backend, n=n, batch=batch):
-        x = kernel(generator, n, rngs)
-    _ROWS.inc(batch)
-    return x
+    return batch_generate(generator, n, _row_rngs(batch, seed, seeds, rng))

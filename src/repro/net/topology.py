@@ -29,9 +29,8 @@ of a JSON file -- the ``repro net`` CLI input):
 Source kinds: ``array`` (explicit per-slot values), ``trace`` (the
 calibrated Star-Wars-like synthesizer), ``fgn`` (a constant-memory
 :mod:`repro.stream` source, optionally pushed through the paper's
-Gamma/Pareto marginal; an optional ``batch`` key pre-synthesizes that
-many blocks per stacked FFT, changing nothing in the emitted bytes).
-Every random draw happens in a seeded
+Gamma/Pareto marginal).  A source key its kind does not read is an
+error, not a silent default.  Every random draw happens in a seeded
 generator owned by the flow, so a spec is a complete, reproducible
 description of a run: same spec, same bytes.
 
@@ -232,11 +231,30 @@ class Network:
 # -- declarative specs --------------------------------------------------
 
 
+#: The keys each source kind reads, besides the common ``kind``/``slots``.
+_SOURCE_KEYS = {
+    "array": {"values"},
+    "trace": {"frames", "seed"},
+    "fgn": {"backend", "hurst", "block_size", "overlap", "seed", "chunk", "marginal"},
+}
+
+
 def _flow_source(source, slots, start_slot):
     """Build a per-slot volume iterator from a spec's source entry."""
     if not isinstance(source, dict) or "kind" not in source:
         raise ValueError(f'flow source must be a dict with a "kind", got {source!r}')
     kind = source["kind"]
+    allowed = _SOURCE_KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ValueError(
+            f'source kind must be "array", "trace" or "fgn", got {kind!r}'
+        )
+    unknown = sorted(set(source) - allowed - {"kind", "slots"})
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {unknown} in {kind} flow source; "
+            f"allowed: {sorted(allowed | {'kind', 'slots'})}"
+        )
     n = int(source.get("slots", max(slots - start_slot, 1)))
     if kind == "array":
         return array_slots(source["values"])
@@ -254,13 +272,11 @@ def _flow_source(source, slots, start_slot):
 
         from repro.stream.sources import make_source
 
-        batch = source.get("batch")
         src = make_source(
             source.get("backend", "paxson"),
             hurst=float(source.get("hurst", 0.8)),
             block_size=int(source.get("block_size", 65_536)),
             overlap=int(source.get("overlap", 1_024)),
-            batch=None if batch is None else int(batch),
         )
         rng = np.random.default_rng(int(source.get("seed", 0)))
         chunk = int(source.get("chunk", 8_192))
@@ -279,11 +295,8 @@ def _flow_source(source, slots, start_slot):
             std = float(marginal["std"])
             scaled = (mean + std * c for c in src.chunks(n, chunk, rng=rng))
             return stream_slots(scaled)
-        raise ValueError(
-            f'fgn marginal must be "paper" or {{"mean", "std"}}, got {marginal!r}'
-        )
     raise ValueError(
-        f'source kind must be "array", "trace" or "fgn", got {kind!r}'
+        f'fgn marginal must be "paper" or {{"mean", "std"}}, got {marginal!r}'
     )
 
 

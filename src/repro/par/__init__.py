@@ -10,9 +10,8 @@ Three pieces, each importable on its own:
   seed, never of the worker count;
 - :mod:`repro.par.batch` — batch-per-worker fleet synthesis
   (`batch_fgn_pool`) stacking several traces per pool task through
-  :func:`repro.core.batch.batch_fgn`, plus the process-wide
-  ``batch=None`` default (`default_batch` / `set_default_batch`,
-  seeded from ``REPRO_BATCH``);
+  :func:`repro.core.batch.batch_fgn`, the row length setting the stack
+  height;
 - :mod:`repro.par.cache` — content-addressed, digest-verified on-disk
   cache for expensive intermediates (circulant eigenvalues, Paxson
   spectral densities, fARIMA autocorrelation tables, synthesized
@@ -35,8 +34,6 @@ __all__ = [
     "derive_task_seed",
     "shard_fgn",
     "batch_fgn_pool",
-    "default_batch",
-    "set_default_batch",
     "ContentCache",
 ]
 
@@ -49,8 +46,6 @@ _LAZY = {
     "derive_task_seed": ("repro.par.pool", "derive_task_seed"),
     "shard_fgn": ("repro.par.shard", "shard_fgn"),
     "batch_fgn_pool": ("repro.par.batch", "batch_fgn_pool"),
-    "default_batch": ("repro.par.batch", "default_batch"),
-    "set_default_batch": ("repro.par.batch", "set_default_batch"),
     "ContentCache": ("repro.par.cache", "ContentCache"),
 }
 

@@ -114,7 +114,7 @@ def _synthesize_shard_batch(item, common):
 
 
 def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
-              shard_size=65_536, overlap=1_024, workers=1, batch=None):
+              shard_size=65_536, overlap=1_024, workers=1):
     """Generate an fGn path of length ``n``, sharded across workers.
 
     Parameters
@@ -137,12 +137,12 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
     workers:
         Process count for shard synthesis (via
         :func:`repro.par.pool.pool_map`).
-    batch:
-        Shards synthesized per pool task as one stacked 2-D FFT
-        (``None`` uses :func:`repro.par.batch.default_batch`).  Shard
-        ``i`` keeps its ``derive_task_seed(seed, i, label="shard")``
-        rng whatever the grouping, so ``batch`` — like ``workers`` —
-        changes wall-clock time and nothing else.
+
+    Equal-length shards ride each pool task in stacks of
+    :func:`repro.core.batch.stack_height` of their raw length; a height
+    of 1 (the default ``shard_size``) runs one single-trace call per
+    shard.  Shard ``i`` keeps its ``derive_task_seed(seed, i,
+    label="shard")`` rng whatever the grouping.
 
     Returns the assembled float64 path of exactly ``n`` samples.
     """
@@ -170,12 +170,14 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
         _SHARDS.inc()
         return path
 
-    from repro.par.batch import resolve_batch
+    from repro.core.batch import stack_height
+    from repro.par.pool import resolve_workers
 
-    batch = resolve_batch(batch)
     plan = shard_plan(n, shard_size)
+    workers = resolve_workers(workers)
+    height = stack_height(shard_size + overlap, len(plan), workers)
     with trace.span("par.shard_fgn", backend=backend, n=n, shards=len(plan)):
-        if batch == 1:
+        if height == 1:
             items = [
                 (backend, float(hurst), float(variance), length + overlap)
                 for _, length in plan
@@ -188,7 +190,7 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
             # Group consecutive equal-length shards (every shard but a
             # short final one shares raw_len) into stacked batches; the
             # per-shard seeds ride inside the items, bit-identical to
-            # the ones pool_map would derive on the batch=1 path.
+            # the ones pool_map would derive on the single-shard path.
             from repro.par.pool import derive_task_seed
 
             groups = []
@@ -196,7 +198,7 @@ def shard_fgn(n, hurst, *, backend="paxson", variance=1.0, seed=0,
                 raw_len = length + overlap
                 shard_seed = derive_task_seed(int(seed), shard_i, label="shard")
                 if (groups and groups[-1][0] == raw_len
-                        and len(groups[-1][1]) < batch):
+                        and len(groups[-1][1]) < height):
                     groups[-1][1].append(shard_seed)
                 else:
                     groups.append((raw_len, [shard_seed]))

@@ -101,41 +101,40 @@ def multiplex_many(series, lag_sets, workers=1):
 
 
 def multiplex_fgn(n, hurst, n_sources, *, backend="paxson", variance=1.0,
-                  seed=0, batch=None, marginal=None):
+                  seed=0, marginal=None):
     """Aggregate arrivals from ``n_sources`` *independent* fGn sources.
 
     The lagged-copy construction above follows the paper exactly; this
     is the model-driven alternative the batch layer makes cheap: each
-    source is a fresh fGn path (synthesized ``batch`` rows at a time
-    through :func:`repro.core.batch.batch_fgn`; ``None`` uses
-    :func:`repro.par.batch.default_batch`), optionally pushed through a
+    source is a fresh fGn path (synthesized
+    :func:`repro.core.batch.stack_height` rows at a time through
+    :func:`repro.core.batch.batch_fgn`), optionally pushed through a
     marginal distribution (e.g. the paper's Gamma/Pareto hybrid via
     :func:`repro.core.transform.marginal_transform`), and the sources
     are summed.  Source ``i`` always draws from
     ``default_rng(derive_task_seed(seed, i, label="batch"))`` and the
-    sum accumulates in source order, so the aggregate is **bit-identical
-    for every batch size** — the tier-1 wall pins this.
+    sum accumulates in source order, so the aggregate is **bit-identical**
+    to summing one single-trace call per source — the tier-1 wall pins
+    this.
     """
-    from repro.core.batch import batch_fgn, batch_row_seeds
-    from repro.par.batch import resolve_batch
+    from repro.core.batch import batch_fgn, batch_row_seeds, stack_height
 
     n = require_positive_int(n, "n")
     n_sources = require_positive_int(n_sources, "n_sources")
-    batch = resolve_batch(batch)
+    height = stack_height(n, n_sources)
     seeds = batch_row_seeds(seed, n_sources)
     out = np.zeros(n)
-    for start in range(0, n_sources, batch):
+    for start in range(0, n_sources, height):
+        stack = seeds[start : start + height]
         rows = batch_fgn(
-            n, hurst, len(seeds[start : start + batch]),
-            backend=backend, variance=variance,
-            seeds=seeds[start : start + batch],
+            n, hurst, len(stack), backend=backend, variance=variance, seeds=stack,
         )
         for row in rows:
             if marginal is not None:
                 from repro.core.transform import marginal_transform
 
                 row = marginal_transform(row, marginal)
-            # Accumulate strictly in source order: any batch split then
+            # Accumulate strictly in source order: any stack split then
             # performs the identical sequence of += operations.
             out += row
     return out

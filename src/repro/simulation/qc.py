@@ -130,8 +130,7 @@ def required_capacity(
     return hi
 
 
-def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, batch, seed_label,
-                      start=0):
+def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, seed_label, start=0):
     """Independent-source aggregate arrivals, one per draw.
 
     ``fgn_sources`` holds the model parameters (``hurst`` required;
@@ -140,7 +139,7 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, batch, seed_label,
     ``n_sources`` fresh fGn paths through
     :func:`repro.simulation.multiplex.multiplex_fgn` under a
     sha256-derived per-draw seed, so the sets are a pure function of
-    the parameters — independent of ``batch`` and ``workers``.
+    the parameters — independent of the stack height and ``workers``.
     """
     from repro.par.pool import derive_task_seed
 
@@ -163,7 +162,7 @@ def _fgn_arrival_sets(fgn_sources, n, n_sources, n_draws, batch, seed_label,
             n, hurst, n_sources,
             backend=backend, variance=variance,
             seed=derive_task_seed(seed, start + draw, label=seed_label),
-            batch=batch, marginal=marginal,
+            marginal=marginal,
         )
         if marginal is None:
             # Affine per-source scaling commutes with the sum
@@ -231,7 +230,6 @@ def qc_curve(
     capacity_span=(1.01, 1.0),
     workers=1,
     fgn_sources=None,
-    batch=None,
 ):
     """Compute a Q-C curve for ``n_sources`` multiplexed copies.
 
@@ -275,10 +273,6 @@ def qc_curve(
         hybrid — or affine ``mean``/``std`` optional).  ``series``
         still anchors the capacity grid.  The caller's ``rng`` is not
         consumed: the draws are seeded from ``fgn_sources["seed"]``.
-    batch:
-        Rows per stacked synthesis for ``fgn_sources`` mode (``None``
-        uses :func:`repro.par.batch.default_batch`); never affects the
-        curve's values.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -290,7 +284,7 @@ def qc_curve(
     n_draws = 1 if n_sources == 1 else n_lag_draws
     if fgn_sources is not None:
         arrival_sets = _fgn_arrival_sets(
-            fgn_sources, arr.size, n_sources, n_draws, batch, "qc.fgn"
+            fgn_sources, arr.size, n_sources, n_draws, "qc.fgn"
         )
     else:
         lag_sets = [
@@ -425,7 +419,6 @@ def smg_curve(
     rel_tol=1e-4,
     workers=1,
     fgn_sources=None,
-    batch=None,
 ):
     """Statistical-multiplexing-gain curve (Fig. 15).
 
@@ -447,9 +440,8 @@ def smg_curve(
     :func:`qc_curve`; ``series`` still anchors the mean/peak capacity
     bracket).  Draws are seeded ``derive_task_seed(seed, draw_index,
     label="smg.fgn")`` with ``draw_index`` running across the ``N``
-    values in order, and ``batch`` only groups the stacked FFTs, so the
-    curve is a pure function of the dict — same at every ``batch`` and
-    ``workers``.
+    values in order, so the curve is a pure function of the dict — same
+    at every ``workers``.
     """
     arr = as_1d_float_array(series, "series")
     slot_seconds = require_positive(slot_seconds, "slot_seconds")
@@ -468,8 +460,7 @@ def smg_curve(
         n_draws = 1 if n == 1 else n_lag_draws
         if fgn_sources is not None:
             prebuilt = _fgn_arrival_sets(
-                fgn_sources, arr.size, n, n_draws, batch, "smg.fgn",
-                start=draw_index,
+                fgn_sources, arr.size, n, n_draws, "smg.fgn", start=draw_index,
             )
             draw_index += n_draws
             items.append((n, None, prebuilt))

@@ -13,7 +13,8 @@ not statistically:
 - **oracle dominance**: the clairvoyant allocator's fleet-total loss
   lower-bounds every causal policy on the same seeded fleet;
 - **determinism**: result digests are identical at workers {1, 2, 5}
-  and under a non-default ``REPRO_BATCH``.
+  and when each stacked per-class fGn batch is replaced by one
+  single-trace ``generate`` call per user.
 
 Plus exact unit coverage for the float machinery
 (:func:`~repro.alloc.exact_sum`, :func:`~repro.alloc.partition_exact`,
@@ -42,7 +43,7 @@ from repro.alloc import (
     user_epoch_seed,
 )
 from repro.alloc.allocators import _absorb_residue
-from repro.par.batch import set_default_batch
+from repro.core.paxson import PaxsonGenerator
 
 CAUSAL = ("static", "harvest", "trade")
 
@@ -157,14 +158,17 @@ class TestOracleDominance:
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(ALLOCATORS))
-    def test_digest_identical_across_worker_counts_and_batch(self, fleet, name):
+    def test_digest_identical_across_worker_counts_and_batch(self, fleet, name,
+                                                             monkeypatch):
         digests = {simulate_fleet(fleet, name, workers=w).digest()
                    for w in (1, 2, 5)}
-        prev = set_default_batch(7)
-        try:
-            digests.add(simulate_fleet(fleet, name, workers=2).digest())
-        finally:
-            set_default_batch(prev)
+
+        def single_trace_rows(n, hurst, batch, *, seeds):
+            generator = PaxsonGenerator(hurst)
+            return [generator.generate(n, rng=np.random.default_rng(s)) for s in seeds]
+
+        monkeypatch.setattr("repro.alloc.fleet.batch_fgn", single_trace_rows)
+        digests.add(simulate_fleet(fleet, name, workers=1).digest())
         assert len(digests) == 1, name
 
     def test_user_epoch_seeds_are_unique_and_stable(self):

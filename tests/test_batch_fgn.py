@@ -6,28 +6,50 @@ would use, so every row must equal the corresponding
 ``PaxsonGenerator``/``DaviesHarteGenerator`` sample **bit for bit** --
 not approximately.  These tests pin that per backend, Hurst value,
 batch size and odd/even length, then walk the identity up the stack:
-the pooled fan-out (``batch_fgn_pool``, ``shard_fgn(batch=...)``), the
-independent-source multiplexer, and the streaming block source must
-all be pure execution strategies -- ``batch`` and ``workers`` change
-wall-clock time and nothing else.
+the pooled fan-out (``batch_fgn_pool``, ``shard_fgn``), the
+independent-source multiplexer and the streaming block source stack
+``stack_height(row_len)`` rows per call, and each must equal a loop of
+per-row single-trace ``generate`` calls at row lengths giving heights
+1, 2 and 7, at every worker count.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.batch import batch_fgn, batch_generate, batch_row_seeds
+from repro.core.batch import (
+    STACK_SAMPLES,
+    batch_fgn,
+    batch_generate,
+    batch_row_seeds,
+    stack_height,
+)
 from repro.core.daviesharte import DaviesHarteGenerator
 from repro.core.paxson import PaxsonGenerator
-from repro.par.batch import batch_fgn_pool, default_batch, set_default_batch
+from repro.core.transform import marginal_transform
+from repro.par.batch import batch_fgn_pool, default_batch
 from repro.par.pool import derive_task_seed
-from repro.par.shard import shard_fgn
+from repro.par.shard import blend_weights, shard_fgn, shard_plan
 from repro.simulation.multiplex import multiplex_fgn
 from repro.stream.sources import make_source
 
 BACKENDS = {"paxson": PaxsonGenerator, "davies-harte": DaviesHarteGenerator}
 HURSTS = (0.5, 0.7, 0.9)
 BATCHES = (1, 2, 7)
+HEIGHTS = (1, 2, 7)  # stack heights the tested row lengths give
 WORKER_COUNTS = (1, 2, 5)
+
+
+def row_len_for(height):
+    """The longest row length whose stack height is ``height``."""
+    row_len = STACK_SAMPLES // height
+    assert stack_height(row_len, height) == height
+    return row_len
+
+
+def single_trace_rows(backend, hurst, n, seeds):
+    """One single-trace ``generate`` call per row seed: the reference."""
+    generator = BACKENDS[backend](hurst)
+    return [generator.generate(n, rng=np.random.default_rng(s)) for s in seeds]
 
 
 class TestRowBitIdentity:
@@ -113,49 +135,66 @@ class TestValidation:
             batch_generate(PaxsonGenerator(0.8), 128, [])
 
 
-class TestDefaultBatch:
-    def test_set_and_restore(self):
-        previous = set_default_batch(4)
-        try:
-            assert default_batch() == 4
-        finally:
-            set_default_batch(previous)
-        assert default_batch() == previous
+class TestStackHeight:
+    def test_row_length_picks_the_height(self):
+        assert stack_height(128, 10_000) == STACK_SAMPLES // 128
+        assert stack_height(STACK_SAMPLES // 2, 10) == 2
+        assert stack_height(STACK_SAMPLES // 2 + 1, 10) == 1
+        assert stack_height(66_560, 10) == 1  # the default stream block
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="batch"):
-            set_default_batch(0)
+    def test_capped_by_rows_per_worker(self):
+        assert stack_height(128, 5) == 5
+        assert stack_height(128, 64, workers=2) == 32
+        assert stack_height(128, 5, workers=2) == 3
+        assert stack_height(128, 5, workers=5) == 1
+
+    def test_default_batch_is_the_constant_one(self):
+        assert default_batch() == 1
 
 
 class TestPooledBatching:
-    """batch/workers grouping never changes the stacked rows."""
+    """batch_fgn_pool/shard_fgn equal per-row single-trace calls."""
 
-    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("height", HEIGHTS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_batch_fgn_pool_invariance(self, batch, workers):
-        reference = batch_fgn(400, 0.8, 5, seed=13)
-        rows = batch_fgn_pool(400, 0.8, 5, seed=13, batch=batch, workers=workers)
-        np.testing.assert_array_equal(rows, reference)
+    def test_batch_fgn_pool_invariance(self, height, workers):
+        n, count = row_len_for(height), 8
+        rows = batch_fgn_pool(n, 0.8, count, seed=13, workers=workers)
+        reference = single_trace_rows(
+            "paxson", 0.8, n, batch_row_seeds(13, count)
+        )
+        assert rows.shape == (count, n)
+        for row, ref in zip(rows, reference):
+            assert np.array_equal(row, ref)
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_shard_fgn_batch_invariance(self, backend, batch):
-        # Odd boundaries: short final shard with a cross-fade seam.
-        reference = shard_fgn(
-            10_001, 0.8, backend=backend, seed=5,
-            shard_size=3000, overlap=100, workers=1, batch=1,
-        )
+    @pytest.mark.parametrize("height", HEIGHTS)
+    def test_shard_fgn_batch_invariance(self, backend, height):
+        # Odd boundaries: a short final shard with a cross-fade seam,
+        # after enough full shards to fill one stack of ``height``.
+        overlap = 100
+        shard_size = row_len_for(height) - overlap
+        n = (height + 1) * shard_size + 1_001
+        reference = np.empty(n)
+        w_old, w_new = blend_weights(overlap)
+        tail = None
+        for i, (start, length) in enumerate(shard_plan(n, shard_size)):
+            rng = np.random.default_rng(derive_task_seed(5, i, label="shard"))
+            raw = BACKENDS[backend](0.8).generate(length + overlap, rng=rng)
+            head = raw[:length].copy()
+            if tail is not None:
+                head[:overlap] = w_old * tail + w_new * head[:overlap]
+            tail = raw[length:]
+            reference[start : start + length] = head
         for workers in WORKER_COUNTS:
-            np.testing.assert_array_equal(
-                shard_fgn(
-                    10_001, 0.8, backend=backend, seed=5,
-                    shard_size=3000, overlap=100, workers=workers, batch=batch,
-                ),
-                reference,
+            path = shard_fgn(
+                n, 0.8, backend=backend, seed=5,
+                shard_size=shard_size, overlap=overlap, workers=workers,
             )
+            assert np.array_equal(path, reference), workers
 
     def test_pool_rows_carry_the_shardlike_seed_scheme(self):
-        rows = batch_fgn_pool(200, 0.8, 3, seed=21, batch=2)
+        rows = batch_fgn_pool(200, 0.8, 3, seed=21)
         for i in range(3):
             row_seed = derive_task_seed(21, i, label="batch")
             reference = PaxsonGenerator(0.8).generate(
@@ -165,36 +204,56 @@ class TestPooledBatching:
 
 
 class TestMultiplexFGN:
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_aggregate_is_batch_invariant(self, batch):
-        reference = multiplex_fgn(600, 0.8, 5, seed=3, batch=1)
-        np.testing.assert_array_equal(
-            multiplex_fgn(600, 0.8, 5, seed=3, batch=batch), reference
+    @staticmethod
+    def reference(n, n_sources, seed, marginal=None):
+        out = np.zeros(n)
+        for row in single_trace_rows(
+            "paxson", 0.8, n, batch_row_seeds(seed, n_sources)
+        ):
+            out += row if marginal is None else marginal_transform(row, marginal)
+        return out
+
+    @pytest.mark.parametrize("height", HEIGHTS)
+    def test_aggregate_is_batch_invariant(self, height):
+        n = row_len_for(height)
+        assert np.array_equal(
+            multiplex_fgn(n, 0.8, 9, seed=3), self.reference(n, 9, seed=3)
         )
 
     def test_marginal_mode_is_batch_invariant(self, paper_marginal):
-        reference = multiplex_fgn(400, 0.8, 4, seed=8, batch=1,
-                                  marginal=paper_marginal)
-        np.testing.assert_array_equal(
-            multiplex_fgn(400, 0.8, 4, seed=8, batch=4, marginal=paper_marginal),
-            reference,
+        n = row_len_for(4)
+        assert np.array_equal(
+            multiplex_fgn(n, 0.8, 5, seed=8, marginal=paper_marginal),
+            self.reference(n, 5, seed=8, marginal=paper_marginal),
         )
 
 
 class TestStreamingSourceBatch:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_block_source_emits_identical_samples(self, backend, batch):
-        def samples(b):
-            source = make_source(backend, hurst=0.8, block_size=1_024,
-                                 overlap=64, batch=b)
-            rng = np.random.default_rng(31)
-            return np.concatenate(list(source.chunks(5_000, 700, rng=rng)))
+    @pytest.mark.parametrize("height", HEIGHTS)
+    def test_block_source_emits_identical_samples(self, backend, height):
+        overlap = 64
+        block_size = row_len_for(height) - overlap
+        n = (height + 2) * block_size + 123
 
-        np.testing.assert_array_equal(samples(batch), samples(1))
+        source = make_source(backend, hurst=0.8, block_size=block_size,
+                             overlap=overlap)
+        rng = np.random.default_rng(31)
+        samples = np.concatenate(list(source.chunks(n, 7_000, rng=rng)))
 
-    def test_hosking_ignores_batch(self):
-        source = make_source("hosking", hurst=0.8, batch=8)
-        rng = np.random.default_rng(2)
-        chunks = list(source.chunks(256, 100, rng=rng))
-        assert sum(c.size for c in chunks) == 256
+        # One generate call per block from the shared rng, stitched
+        # over the cos/sin cross-fade.
+        generator = BACKENDS[backend](0.8)
+        ref_rng = np.random.default_rng(31)
+        w_old, w_new = blend_weights(overlap)
+        blocks, tail = [], None
+        while sum(b.size for b in blocks) < n:
+            raw = generator.generate(block_size + overlap, rng=ref_rng)
+            head = raw[:block_size].copy()
+            if tail is not None:
+                head[:overlap] = w_old * tail + w_new * head[:overlap]
+            tail = raw[block_size:]
+            blocks.append(head)
+        assert np.array_equal(samples, np.concatenate(blocks)[:n])
+        # Stacking never synthesizes a block the run does not use.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

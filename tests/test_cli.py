@@ -187,21 +187,29 @@ class TestStreamCommand:
         with pytest.raises(SystemExit):
             main(["stream", "--samples", "0"])
 
-    def test_rejects_bad_batch(self):
-        # Clean SystemExit, not a ValueError traceback from make_source.
-        with pytest.raises(SystemExit, match="--batch"):
-            main(["stream", "--samples", "1000", "--batch", "0"])
-        with pytest.raises(SystemExit, match="--batch"):
-            main(["experiments", "--quick", "--batch", "0"])
+    def test_stacked_stream_matches_single_block_calls(self, tmp_path):
+        """The five 1,024-sample blocks this run needs ride one stacked
+        FFT; the Gaussian stream still equals one Paxson ``generate``
+        call per block."""
+        from repro.core.paxson import PaxsonGenerator
+        from repro.par.shard import blend_weights
 
-    def test_batched_stream_bit_identical(self, tmp_path):
-        """--batch is a pure execution strategy: same bytes out."""
-        a, b = tmp_path / "a.npy", tmp_path / "b.npy"
-        base = ["stream", "--samples", "5000", "--chunk", "1024",
-                "--backend", "paxson"]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--batch", "4", "--out", str(b)]) == 0
-        np.testing.assert_array_equal(np.load(a), np.load(b))
+        out = tmp_path / "g.npy"
+        assert main(["stream", "--samples", "5000", "--chunk", "700",
+                     "--block-size", "1024", "--overlap", "64", "--gaussian",
+                     "--seed", "9", "--out", str(out)]) == 0
+        rng = np.random.default_rng(9)
+        generator = PaxsonGenerator(0.8)
+        w_old, w_new = blend_weights(64)
+        blocks, tail = [], None
+        for _ in range(5):  # ceil(5000 / 1024)
+            raw = generator.generate(1024 + 64, rng=rng)
+            head = raw[:1024].copy()
+            if tail is not None:
+                head[:64] = w_old * tail + w_new * head[:64]
+            tail = raw[1024:]
+            blocks.append(head)
+        assert np.array_equal(np.load(out), np.concatenate(blocks)[:5000])
 
 
 class TestStreamCommandRegressions:
@@ -440,7 +448,8 @@ class TestProfileFlags:
         doc = RunReport.load(run)
         assert doc["command"] == "stream"
         names = {s["name"] for s in doc["spans"]}
-        assert any(n.endswith(".generate") for n in names)
+        # The four 2,048-sample blocks ride one stacked synthesis call.
+        assert "batch.fgn" in names
         # ISSUE acceptance: stage sample counters equal the configured
         # run length exactly.
         assert doc["metrics"]['repro_stream_samples_total{stage="source"}'][

@@ -143,6 +143,32 @@ class TestSpecs:
         with pytest.raises(ValueError, match="kind"):
             run_topology(spec)
 
+    @pytest.mark.parametrize("source,key", [
+        ({"kind": "array", "values": [1.0], "value": [2.0]}, "value"),
+        ({"kind": "trace", "frames": 10, "sed": 3}, "sed"),
+        ({"kind": "fgn", "hurts": 0.9}, "hurts"),
+        ({"kind": "fgn", "hurst": 0.8, "batch": 8}, "batch"),
+    ])
+    def test_unknown_source_key_is_rejected(self, source, key):
+        spec = single_hop_spec([1.0], 10.0, 5.0)
+        spec["flows"][0]["source"] = source
+        with pytest.raises(ValueError, match=f"unknown key.*'{key}'"):
+            build_network(spec)
+
+    def test_unknown_source_key_is_a_one_line_cli_error(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        spec = single_hop_spec([1.0], 10.0, 5.0)
+        spec["flows"][0]["source"] = {"kind": "fgn", "hurts": 0.9}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["net", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "'hurts'" in err[0]
+
     def test_network_runs_exactly_once(self):
         net = build_network(single_hop_spec([1.0, 2.0], 10.0, 5.0))
         net.run(2)

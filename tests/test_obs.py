@@ -360,10 +360,19 @@ class TestThreadSafety:
 @pytest.mark.statistical_retry
 class TestOverheadBudget:
     def test_enabled_overhead_under_3_percent(self):
-        """ISSUE acceptance: full tracing + metrics on the 1M-sample
-        streamed paxson run costs < 3% (best-of-8, interleaved; single
-        runs vary several percent, the minimum tracks the floor)."""
-        n, chunk = 1_000_000, 65_536
+        """Full tracing + metrics on the streamed paxson pipeline
+        (65,536-sample blocks and chunks, table transform) costs < 3%.
+
+        The estimate is the median, over 41 adjacent off/on pairs, of
+        the per-pair CPU-time ratio, with the order alternating pair by
+        pair.  CPU time leaves out the time other processes hold the
+        core, adjacent pairs see the same machine state, and the median
+        drops the pairs a burst of load still hits; a best-of-N wall
+        time swings by more than the budget on a shared machine."""
+        import statistics
+        import time
+
+        n, chunk = 262_144, 65_536
 
         def run():
             src = BlockFGNSource(0.8, block_size=chunk, overlap=1024,
@@ -374,20 +383,27 @@ class TestOverheadBudget:
                 .transform(TARGET, method="table")
                 .metered("transform")
             )
-            import time
             moments = OnlineMoments()
-            start = time.perf_counter()
+            start = time.process_time()
             stream.drain(moments)
             assert moments.count == n
-            return time.perf_counter() - start
+            return time.process_time() - start
 
-        off = on = float("inf")
-        for _ in range(8):
-            obs.disable()
-            off = min(off, run())
+        def timed(enabled):
+            if not enabled:
+                obs.disable()
+                return run()
             with obs.enabled():
-                on = min(on, run())
-        assert on / off - 1.0 < 0.03, f"enabled obs cost {on / off - 1.0:.2%}"
+                return run()
+
+        timed(False)  # warm the spectral caches and the transform table
+        ratios = []
+        for pair in range(41):
+            order = (False, True) if pair % 2 else (True, False)
+            seconds = {enabled: timed(enabled) for enabled in order}
+            ratios.append(seconds[True] / seconds[False] - 1.0)
+        cost = statistics.median(ratios)
+        assert cost < 0.03, f"enabled obs cost {cost:.2%}"
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,22 @@ from repro.simulation.qc import qc_curve, smg_curve
 WORKER_COUNTS = (1, 2, 5)
 
 
+def _single_trace_multiplex(n, hurst, n_sources, *, backend, variance, seed,
+                            marginal):
+    """``multiplex_fgn`` as one single-trace ``generate`` call per source."""
+    from repro.core.batch import batch_row_seeds
+    from repro.core.daviesharte import DaviesHarteGenerator
+    from repro.core.paxson import PaxsonGenerator
+
+    cls = PaxsonGenerator if backend == "paxson" else DaviesHarteGenerator
+    generator = cls(hurst, variance=variance)
+    assert marginal is None
+    out = np.zeros(n)
+    for row_seed in batch_row_seeds(seed, n_sources):
+        out += generator.generate(n, rng=np.random.default_rng(row_seed))
+    return out
+
+
 class TestShardPlan:
     def test_covers_exactly(self):
         plan = shard_plan(10_001, 3000)
@@ -117,39 +133,50 @@ class TestGridSweeps:
             np.testing.assert_array_equal(curve.buffer_bytes, reference.buffer_bytes)
             np.testing.assert_array_equal(curve.tmax_ms, reference.tmax_ms)
 
-    def test_qc_curve_fgn_sources_batch_and_worker_invariance(self, qc_series):
-        def sweep(workers, batch):
+    # (series length, backend): the lengths give stack heights 1, 2, 8.
+    FGN_CASES = ((40_000, "paxson"), (30_000, "davies-harte"),
+                 (8_000, "paxson"), (8_000, "davies-harte"))
+
+    def _fgn_sweeps(self, qc_series, monkeypatch, sweep):
+        """``sweep(series, fgn_sources, workers)`` at every worker count
+        equals the sweep over per-source single-trace ``generate`` calls."""
+        import repro.simulation.qc as qc_module
+
+        for length, backend in self.FGN_CASES:
+            series = np.resize(qc_series, length)
+            sources = dict(self.FGN_SOURCES, backend=backend)
+            with monkeypatch.context() as patch:
+                patch.setattr(qc_module, "multiplex_fgn", _single_trace_multiplex)
+                reference = sweep(series, sources, 1)
+            for workers in WORKER_COUNTS:
+                yield (length, backend, workers), sweep(series, sources, workers), reference
+
+    def test_qc_curve_fgn_sources_batch_and_worker_invariance(self, qc_series,
+                                                              monkeypatch):
+        def sweep(series, sources, workers):
             return qc_curve(
-                qc_series, 1.0 / 24.0, n_sources=5, target_loss=1e-3,
-                n_points=4, fgn_sources=dict(self.FGN_SOURCES), batch=batch,
+                series, 1.0 / 24.0, n_sources=5, target_loss=1e-3,
+                n_points=4, n_lag_draws=2, fgn_sources=sources,
                 rng=np.random.default_rng(workers), workers=workers,
             )
 
-        reference = sweep(1, 1)
-        for workers in WORKER_COUNTS[1:]:
-            for batch in (2, 7):
-                curve = sweep(workers, batch)
-                np.testing.assert_array_equal(
-                    curve.buffer_bytes, reference.buffer_bytes
-                )
-                np.testing.assert_array_equal(curve.tmax_ms, reference.tmax_ms)
+        for case, curve, reference in self._fgn_sweeps(qc_series, monkeypatch, sweep):
+            assert np.array_equal(curve.buffer_bytes, reference.buffer_bytes), case
+            assert np.array_equal(curve.tmax_ms, reference.tmax_ms), case
 
-    def test_smg_curve_fgn_sources_batch_and_worker_invariance(self, qc_series):
-        def sweep(workers, batch):
+    def test_smg_curve_fgn_sources_batch_and_worker_invariance(self, qc_series,
+                                                               monkeypatch):
+        def sweep(series, sources, workers):
             return smg_curve(
-                qc_series, 1.0 / 24.0, n_values=(1, 2, 5), target_loss=1e-3,
-                n_lag_draws=2, fgn_sources=dict(self.FGN_SOURCES), batch=batch,
-                rel_tol=1e-3, workers=workers,
+                series, 1.0 / 24.0, n_values=(1, 2, 5), target_loss=1e-3,
+                n_lag_draws=2, fgn_sources=sources, rel_tol=1e-3,
+                workers=workers,
             )
 
-        reference = sweep(1, 1)
-        for workers in WORKER_COUNTS[1:]:
-            for batch in (2, 7):
-                result = sweep(workers, batch)
-                np.testing.assert_array_equal(
-                    result["capacity_per_source"],
-                    reference["capacity_per_source"],
-                )
+        for case, result, reference in self._fgn_sweeps(qc_series, monkeypatch, sweep):
+            assert np.array_equal(
+                result["capacity_per_source"], reference["capacity_per_source"]
+            ), case
 
     def test_smg_curve_worker_invariance(self, qc_series):
         def sweep(workers):
